@@ -20,7 +20,7 @@ the program's — no global cache to invalidate.
 
 Decoding is purely a representation change: the interpreter's
 semantics per kind are identical to the dataclass-dispatch ones, which
-is what the PR 2 repair oracle (an independent interpreter over the
+is what the repair oracle (an independent interpreter over the
 *undecoded* instructions) verifies on every checked commit.
 """
 
@@ -132,10 +132,11 @@ def decoded_for(program: Program) -> list[tuple]:
 # Compiled handler chains
 # ---------------------------------------------------------------------------
 #
-# The decoded-tuple interpreter still pays, per instruction, for the
-# kind dispatch (an if/elif ladder), tuple unpacking, and the per-kind
-# ``engine is not None`` branches.  A *handler chain* pushes all of
-# that to compile time: each static instruction becomes one closure
+# Interpreting decoded tuples directly would still pay, per
+# instruction, for the kind dispatch (an if/elif ladder), tuple
+# unpacking, and the per-kind ``engine is not None`` branches.  A
+# *handler chain* pushes all of that to compile time: each static
+# instruction becomes one closure
 #
 #     handler(core, regs) -> latency
 #
@@ -144,13 +145,14 @@ def decoded_for(program: Program) -> list[tuple]:
 # per program rather than once per executed instruction.  Handlers set
 # ``core.pc`` themselves and let :class:`StallRetry`/:class:`TxnAborted`
 # propagate *before* the pc update, so a retried or aborted instruction
-# re-executes exactly like the tuple interpreter's ``_execute``.
+# re-executes from the same pc.
 #
 # Two variants are cached per program (on the Program itself, like the
-# decode cache): one for cores with a RETCON engine, one without.
-# Chains are a pure dispatch-compilation: the per-kind semantics are
-# copied verbatim from ``Core._execute``, which stays as the reference
-# interpreter for oracle-checked runs and the lockstep scheduler.
+# decode cache): one for cores with a RETCON engine, one without.  The
+# chains are the simulator's only instruction interpreter; every run,
+# checked or not, executes them.  Their semantics are verified by the
+# repair oracle, whose independent interpreter (repro.check.replay)
+# re-executes each checked commit over the undecoded instructions.
 
 
 def _div_trunc(lhs: int, rhs: int) -> int:
@@ -306,7 +308,7 @@ def _compile_op(inst: tuple, nxt: int, with_engine: bool):
     fn = _OP_FN.get(op)
     if fn is None:
         # Unknown opcode: defer to apply_op so the error surfaces at
-        # execution time, exactly like the tuple interpreter.
+        # execution time, not at compile time.
         def fn(lhs, rhs, op=op):
             return apply_op(op, lhs, rhs)
     if with_engine:

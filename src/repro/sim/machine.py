@@ -6,19 +6,17 @@ interleaves cores at instruction granularity while keeping every TM
 operation atomic, which is how the paper's sequentially-consistent
 simulator behaves from the protocol's point of view.
 
-Two schedulers implement that policy:
-
-* ``event`` (default) — an event-driven wakeup queue.  Each heap entry
-  is a wakeup event ``(cycle, cid)``; the popped core *bursts* through
-  consecutive steps via :meth:`repro.sim.cpu.Core.run_until` for as
-  long as it stays strictly ahead of the queue's next event, so a core
-  sleeping through a long memory latency, stall backoff, or barrier
-  wait costs one heap operation instead of one per step.  Because a
-  burst ends the moment the core would no longer be the (cycle, cid)
-  minimum, the executed global step order is *identical* to lockstep —
-  cycle skipping is a scheduling transform, not a semantic one.
-* ``lockstep`` — the reference one-step-per-pop loop, kept for
-  differential testing and as executable documentation.
+The scheduler is an event-driven wakeup queue.  Each heap entry is a
+wakeup event ``(cycle, cid)``; the popped core *bursts* through
+consecutive steps via :meth:`repro.sim.cpu.Core.run_until` for as long
+as it stays strictly ahead of the queue's next event, so a core
+sleeping through a long memory latency, stall backoff, or barrier wait
+costs one heap operation instead of one per step.  Because a burst
+ends the moment the core would no longer be the (cycle, cid) minimum,
+the executed global step order is identical to popping one step at a
+time — cycle skipping is a scheduling transform, not a semantic one.
+The ``backend_*`` golden stats fixtures, captured from a one-step-per-pop
+reference scheduler, pin that identity on every TM system.
 """
 
 from __future__ import annotations
@@ -87,15 +85,11 @@ class Machine:
         check: "bool | object | None" = None,
         tracer: "object | None" = None,
         metrics: "object | None" = None,
-        scheduler: str = "event",
     ) -> None:
         if len(scripts) > config.ncores:
             raise ValueError(
                 f"{len(scripts)} scripts but only {config.ncores} cores"
             )
-        if scheduler not in ("event", "lockstep"):
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
-        self.scheduler = scheduler
         self.config = config
         #: free-form context (workload/system/...) echoed in timeouts
         self.label = label or system_name
@@ -144,11 +138,7 @@ class Machine:
             else:
                 heapq.heappush(heap, (core.cycle, core.cid))
 
-        barrier_waiters: list[Core] = []
-        if self.scheduler == "event":
-            self._run_event(heap, barrier_waiters, max_cycles)
-        else:
-            self._run_lockstep(heap, barrier_waiters, max_cycles)
+        self._run_event(heap, max_cycles)
 
         final_makespan = max(core.cycle for core in self.cores)
         if self.metrics is not None:
@@ -164,10 +154,7 @@ class Machine:
         )
 
     def _run_event(
-        self,
-        heap: list[tuple[int, int]],
-        barrier_waiters: list[Core],
-        max_cycles: int,
+        self, heap: list[tuple[int, int]], max_cycles: int
     ) -> None:
         """Event-driven scheduler: pop a wakeup event, burst the core.
 
@@ -183,6 +170,7 @@ class Machine:
         ncores = len(cores)
         push = heapq.heappush
         pop = heapq.heappop
+        barrier_waiters: list[Core] = []
         for core in cores:
             # Recompute burst-invariant state (observers may have been
             # attached since the previous run).
@@ -215,34 +203,6 @@ class Machine:
                     self._release_barrier(barrier_waiters, heap)
             elif core.state is not CoreState.DONE:
                 push(heap, (core.cycle, core.cid))
-
-    def _run_lockstep(
-        self,
-        heap: list[tuple[int, int]],
-        barrier_waiters: list[Core],
-        max_cycles: int,
-    ) -> None:
-        """Reference scheduler: one step per heap pop."""
-        makespan = 0
-        while heap or barrier_waiters:
-            if makespan > max_cycles:
-                self._raise_watchdog(makespan, max_cycles)
-            if not heap:
-                self._release_barrier(barrier_waiters, heap)
-                continue
-            _cycle, cid = heapq.heappop(heap)
-            core = self.cores[cid]
-            core.step()
-            if core.cycle > makespan:
-                makespan = core.cycle
-            if core.state is CoreState.AT_BARRIER:
-                barrier_waiters.append(core)
-                if len(barrier_waiters) + self._done_count() == len(
-                    self.cores
-                ):
-                    self._release_barrier(barrier_waiters, heap)
-            elif core.state is not CoreState.DONE:
-                heapq.heappush(heap, (core.cycle, core.cid))
 
     def _raise_watchdog(self, makespan: int, max_cycles: int) -> None:
         raise SimulationTimeout(

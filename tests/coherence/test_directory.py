@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.directory import CoherenceFabric
-from repro.sim.config import small_test_config
+from repro.sim.config import MachineConfig, small_test_config
 
 
 @pytest.fixture
@@ -42,6 +42,24 @@ class TestLatencies:
         fabric.acquire(0, 100, write=True)
         outcome = fabric.acquire(0, 100, write=True)
         assert outcome.latency == 1
+
+    def test_latency_quote_matches_acquire(self):
+        """The fabric's deterministic latency quote prices an access
+        exactly as the acquire that follows it charges, and quoting is
+        a pure read (a second quote agrees with the first)."""
+        import random
+
+        config = MachineConfig().with_cores(4)
+        fabric = CoherenceFabric(config, 4)
+        rng = random.Random(7)
+        for _ in range(500):
+            core = rng.randrange(4)
+            block = rng.randrange(24)
+            write = rng.random() < 0.5
+            quote = fabric.latency_quote(core, block, write)
+            assert fabric.latency_quote(core, block, write) == quote
+            outcome = fabric.acquire(core, block, write)
+            assert outcome.latency == quote
 
 
 class TestInvalidation:

@@ -36,6 +36,21 @@ def counter_increment_txn(
     return asm.build()
 
 
+def contended_scripts(ncores: int, txns: int) -> list[ThreadScript]:
+    """Every core hammers one shared counter: stalls, aborts, steals."""
+    scripts = []
+    for cid in range(ncores):
+        script = ThreadScript()
+        script.add_work(1 + cid)  # stagger starts to vary the interleave
+        for _ in range(txns):
+            script.add_txn(counter_increment_txn(0x1000))
+            script.add_work(2)
+        script.add_barrier()
+        script.add_txn(counter_increment_txn(0x1000 + 64))
+        scripts.append(script)
+    return scripts
+
+
 def run_counter_machine(
     system: str,
     ncores: int,

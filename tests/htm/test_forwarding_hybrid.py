@@ -157,14 +157,3 @@ class TestOracleContract:
         system.commit(0)
         assert not system._preds[1]
         system.commit(1)  # no StallRetry: the predecessor is gone
-
-
-class TestDeprecatedAlias:
-    def test_old_module_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.htm.hybrid", None)
-        with pytest.warns(DeprecationWarning, match="forwarding_hybrid"):
-            legacy = importlib.import_module("repro.htm.hybrid")
-        assert legacy.RetconForwardingSystem is RetconForwardingSystem

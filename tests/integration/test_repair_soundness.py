@@ -37,6 +37,7 @@ PRIVATE_BASE = 4096  # a different block: two untracked words
 PRIVATE_WORDS = [PRIVATE_BASE, PRIVATE_BASE + 8]
 ALL_WORDS = TRACKED_WORDS + PRIVATE_WORDS
 REGS = [Reg(i) for i in (1, 2, 3, 4)]
+WATCHDOG = 500_000_000
 
 _plain_op = st.one_of(
     st.tuples(
@@ -153,7 +154,9 @@ def test_repaired_state_matches_reexecution(
                 system.store(1, addr, 8, value)
                 mutated[addr] = value
             injected = True
-        core.step()
+        # A one-step burst: any step moves the clock to or past
+        # stop_cycle, and every cid outranks -1.
+        core.run_until(core.cycle, -1, WATCHDOG)
         steps += 1
     assert core.current_item() is None, "transaction did not finish"
     # Only meaningful when the steal landed mid-transaction.

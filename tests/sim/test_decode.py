@@ -1,9 +1,9 @@
 """Decode-cache behavior (PR 3 backfill).
 
 The interpreter decodes each Program once into flat tuples, caches the
-result on the Program instance, and each Core additionally keeps a
-(program, decoded) pair so the common same-program retry path skips
-even the cache lookup.  These tests pin the contract: identical static
+result on the Program instance, and each Core additionally keeps its
+current (program, chain, decoded) triple so the common same-program
+retry path skips even the cache lookup.  These tests pin the contract: identical static
 instructions decode identically, the per-program cache is hit (not
 recomputed), and a core picks up the right decode when its script
 moves to a different program.
@@ -130,19 +130,23 @@ class TestCoreDecodeSwap:
         assert core._chain is chain_for(program, with_engine=False)
         assert machine.memory.read(4096) == 4
 
-    def test_lockstep_retry_reuses_decode_cache(self, memory):
-        """The lockstep scheduler's reference interpreter keeps the
-        original (program, decoded-tuples) core-local pair."""
+    def test_checked_retry_reuses_core_cache(self, memory):
+        """Oracle-checked runs take the same chain path: the core-local
+        (program, chain, decode) cache is filled and reused across
+        retries, and every commit is replayed by the oracle."""
         program = _counter_program(4096, 1)
         script = ThreadScript()
         for _ in range(4):
             script.add_txn(program)
         machine = Machine(
-            MachineConfig().with_cores(1), "eager", [script], memory,
-            scheduler="lockstep",
+            MachineConfig().with_cores(1), "retcon", [script], memory,
+            check=True,
         )
-        machine.run()
+        result = machine.run()
         core = machine.cores[0]
-        assert core._decoded_program is program
+        assert core._chain_program is program
+        assert core._chain is chain_for(program, with_engine=True)
         assert core._decoded is decoded_for(program)
         assert machine.memory.read(4096) == 4
+        assert result.oracle.checked_commits == 4
+        assert not result.oracle.violations

@@ -89,7 +89,7 @@ class TestEventScheduler:
 
     def test_heap_tie_break_runs_lowest_cid_first(self):
         """Two cores waking on the same cycle run in cid order, exactly
-        like the lockstep scheduler's (cycle, cid) heap order."""
+        in the scheduler's (cycle, cid) heap order."""
         from repro.obs.events import EventStream
 
         scripts = []
@@ -143,43 +143,35 @@ class TestEventScheduler:
         assert "scheduler empty with no barrier waiters" in str(excinfo.value)
         assert "starved-run" in str(excinfo.value)
 
-    def test_watchdog_identical_makespan_under_both_schedulers(self):
+    def test_watchdog_makespan_is_pinned(self):
         """Regression: a conflicting core pair that cannot finish
-        within the budget times out with the *same* makespan and label
-        under the event-driven and lockstep schedulers (the watchdog is
-        consulted between steps in both)."""
+        within the budget times out with the makespan and label that a
+        one-step-per-pop scheduler reports (the watchdog is consulted
+        between steps, so the holder's 2,000-cycle nop step completes
+        before it fires)."""
 
         from repro.isa.registers import R1
 
-        def build(scheduler):
-            holder = ThreadScript()
-            asm = Assembler()
-            asm.load(R1, 0x200)
-            asm.nop(2_000)
-            asm.store(R1, 0x200)
-            holder.add_txn(asm.build())
-            rival = ThreadScript()
-            rival.add_work(3)
-            rival.add_txn(counter_increment_txn(0x200))
-            return Machine(
-                MachineConfig().with_cores(2),
-                "eager",
-                [holder, rival],
-                MainMemory(),
-                label="livelock-pair",
-                scheduler=scheduler,
-            )
-
-        outcomes = {}
-        for scheduler in ("event", "lockstep"):
-            with pytest.raises(SimulationTimeout) as excinfo:
-                build(scheduler).run(max_cycles=1_000)
-            outcomes[scheduler] = (
-                excinfo.value.makespan,
-                excinfo.value.label,
-            )
-        assert outcomes["event"] == outcomes["lockstep"]
-        assert outcomes["event"][1] == "livelock-pair"
+        holder = ThreadScript()
+        asm = Assembler()
+        asm.load(R1, 0x200)
+        asm.nop(2_000)
+        asm.store(R1, 0x200)
+        holder.add_txn(asm.build())
+        rival = ThreadScript()
+        rival.add_work(3)
+        rival.add_txn(counter_increment_txn(0x200))
+        machine = Machine(
+            MachineConfig().with_cores(2),
+            "eager",
+            [holder, rival],
+            MainMemory(),
+            label="livelock-pair",
+        )
+        with pytest.raises(SimulationTimeout) as excinfo:
+            machine.run(max_cycles=1_000)
+        assert excinfo.value.makespan == 2150
+        assert excinfo.value.label == "livelock-pair"
 
 
 class TestBarrier:
